@@ -109,6 +109,24 @@ func EntriesWireBytes[K any](entries []Entry[K], c Codec[K]) int {
 	return total
 }
 
+// MinEntryWireBytes is the fewest wire bytes one entry can encode to
+// under c: the origin fields, a fixed-width key (a variable-width key may
+// encode to nothing more) and, when c carries payloads, the payload
+// length prefix. A buffer of b bytes therefore holds at most
+// b/MinEntryWireBytes entries — the bound the spill tier sizes its blocks
+// by and checks untrusted entry counts against.
+func MinEntryWireBytes[K any](c Codec[K]) int {
+	kc, withPay := keyCodecOf(c)
+	n := originBytes
+	if _, isVar := kc.(VarCodec[K]); !isVar {
+		n += kc.KeySize()
+	}
+	if withPay {
+		n += payloadLenBytes
+	}
+	return n
+}
+
 // KeysWireBytes returns the exact wire size of bare keys under codec c.
 func KeysWireBytes[K any](keys []K, c Codec[K]) int {
 	kc, _ := keyCodecOf(c)
@@ -242,6 +260,11 @@ func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[
 			off += originBytes
 		}
 		return entries, b[need:], nil
+	}
+	if n < 0 || n > len(b)/MinEntryWireBytes(c) {
+		// Checked before the slab is drawn: an untrusted count must not
+		// size an allocation the bytes could never fill.
+		return nil, b, fmt.Errorf("comm: %d entries cannot fit in %d bytes", n, len(b))
 	}
 	entries := pool.Get(n)
 	rest := b

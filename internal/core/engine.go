@@ -367,6 +367,9 @@ func (e *Engine[K]) SortManyRecordsWith(ctx context.Context, opts SortManyOpts, 
 // non-nil only under the SortMany scheduler; ctx cancellation tears down
 // this sort's mailboxes without touching other sorts on the engine.
 func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Result[K], error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sortID := e.nextSortID.Add(1)
 	p := e.opts.Procs
 
@@ -375,7 +378,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	// deleted, leaking it (and, after int32 wraparound, poisoning a
 	// reused id).
 	stopWatcher := func() {}
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		stop := make(chan struct{})
 		watcherDone := make(chan struct{})
 		go func() {
@@ -452,8 +455,8 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		// buffer any more, so the input-entry slabs can be recycled.
 		runs[i].recycleRetired()
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	// Root-cause selection: abort echoes (errSortAborted) are teardown
 	// noise, and among real errors the most actionable class wins — a

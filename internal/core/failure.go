@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"syscall"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/failpoint"
@@ -108,6 +109,11 @@ func Classify(err error) FailureClass {
 		// the taxonomy is about the error as observed — same bytes, same
 		// failure — and silent rereads must never mask corruption.)
 		return FailDataDependent
+	}
+	if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENOSPC) {
+		// Out of file descriptors or spill disk: another job releasing
+		// its files or disk can clear either, so a retry makes sense.
+		return FailTransient
 	}
 	return FailUnknown
 }

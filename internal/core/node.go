@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -30,8 +29,8 @@ type sortRun[K cmp.Ordered] struct {
 	// is set; they differ only in how localSort builds the entry buffer.
 	input    []K
 	inputRec []comm.Record[K]
-	ctx      context.Context // nil means uncancellable
-	ctrl     *stageCtrl      // nil outside the SortMany scheduler
+	ctx      context.Context
+	ctrl     *stageCtrl // nil outside the SortMany scheduler
 	cmps     sortCmps[K]
 	report   NodeReport
 
@@ -196,6 +195,23 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 	return c
 }
 
+// sortEntries sorts entries in place on the resolved step-1 path, with
+// scratch (same length) as the radix or merge buffer.
+func (c sortCmps[K]) sortEntries(entries, scratch []comm.Entry[K], workers int) {
+	if !c.useRadix {
+		lsort.ParallelSortScratch(entries, scratch, c.entryLess, workers)
+		return
+	}
+	norm := c.norm
+	key := func(e comm.Entry[K]) uint64 { return norm(e.Key) }
+	lsort.ParallelRadixSort(entries, scratch, key, c.normBits, c.entryLess, workers)
+	if c.fallback {
+		// Inexact norm: the radix passes ordered by norm only; finish
+		// the equal-norm runs under the real comparison.
+		lsort.SortEqualNormRuns(entries, key, c.entryLess)
+	}
+}
+
 // retire schedules a pooled slab for recycling once the whole sort has
 // joined (sortOne calls recycleRetired after the last node finishes).
 func (s *sortRun[K]) retire(buf []comm.Entry[K]) {
@@ -273,8 +289,8 @@ func (s *sortRun[K]) send(dst int, m comm.Message[K]) error {
 func (s *sortRun[K]) recv(kind comm.Kind) (comm.Message[K], error) {
 	m, ok := s.node.mb(s.sortID, kind).pop()
 	if !ok {
-		if s.ctx != nil && s.ctx.Err() != nil {
-			return m, s.ctx.Err()
+		if err := s.ctx.Err(); err != nil {
+			return m, err
 		}
 		if s.node.isCancelled(s.sortID) {
 			// A peer node already failed and sortOne tore this sort
@@ -302,10 +318,7 @@ func (s *sortRun[K]) enterStage(st SchedStage) error {
 	if err != nil {
 		return err
 	}
-	if s.ctx != nil {
-		return s.ctx.Err()
-	}
-	return nil
+	return s.ctx.Err()
 }
 
 // leaveStage marks this node done with st, at most once per stage.
@@ -500,27 +513,13 @@ func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 			// is byte-identical to the one-pass sort at any chunk size.
 			// (Inexact norms and the comparison path keep their in-memory
 			// sort; the exchange stage still spills for them.)
-			if err := s.spillSort(entries, eb); err != nil {
+			if err := s.spillSort(entries); err != nil {
 				return nil, err
 			}
 		case s.cmps.useRadix || workers > 1:
 			scratch := n.entryPool.Get(len(entries))
 			n.tracker.Alloc(int64(len(scratch)) * eb)
-			if s.cmps.useRadix {
-				norm := s.cmps.norm
-				lsort.ParallelRadixSort(entries, scratch,
-					func(e comm.Entry[K]) uint64 { return norm(e.Key) },
-					s.cmps.normBits, s.cmps.entryLess, workers)
-				if s.cmps.fallback {
-					// Inexact norm: the radix passes ordered by norm only;
-					// finish the equal-norm runs under the real comparison.
-					lsort.SortEqualNormRuns(entries,
-						func(e comm.Entry[K]) uint64 { return norm(e.Key) },
-						s.cmps.entryLess)
-				}
-			} else {
-				lsort.ParallelSortScratch(entries, scratch, s.cmps.entryLess, workers)
-			}
+			s.cmps.sortEntries(entries, scratch, workers)
 			n.tracker.Free(int64(len(scratch)) * eb)
 			n.entryPool.Put(scratch)
 		default:
@@ -531,90 +530,34 @@ func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	return entries, nil
 }
 
-// spillSort sorts entries in place using at most ~MemoryBudget bytes of
-// temporary memory: it radix-sorts budget-sized chunks (chunk + scratch
-// together fit the budget), spills each sorted chunk to a block file,
-// then stream-merges the chunk runs back into the entries buffer. Every
-// stage is stable, so the result is byte-identical to the in-memory
-// ParallelRadixSort whatever the chunk size. Run files are removed as
-// soon as the merge drains them; the run's spill dir cleanup catches
-// any left behind by an error exit.
-func (s *sortRun[K]) spillSort(entries []comm.Entry[K], eb int64) error {
-	n := s.node
-	chunk := int(s.opts.MemoryBudget / (2 * eb))
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > len(entries) {
-		chunk = len(entries)
-	}
+// spillSort sorts entries in place through the external sort: chunks
+// sort and spill as runs, and the merge streams them back into entries.
+// Every stage is stable, so the result is byte-identical to the
+// in-memory ParallelRadixSort whatever the plan.
+func (s *sortRun[K]) spillSort(entries []comm.Entry[K]) error {
+	chunk := spill.PlanFor(s.opts.MemoryBudget, s.codec, 0).ChunkEntries
+	return s.externalSort((len(entries)+chunk-1)/chunk, entries, nil, entries)
+}
+
+// externalSort merges runs into dst through an external sort over this
+// run's spill directory, planned from Options.MemoryBudget for a merge
+// of nruns runs and accounted on the node's tracker. Non-nil src is
+// first formed into the runs.
+func (s *sortRun[K]) externalSort(nruns int, src []comm.Entry[K], runs []string, dst []comm.Entry[K]) error {
 	dir, err := s.spillScratchDir()
 	if err != nil {
 		return err
 	}
-	norm := s.cmps.norm
-	normOf := func(e comm.Entry[K]) uint64 { return norm(e.Key) }
-	workers := s.opts.WorkersPerProc
-
-	scratch := n.entryPool.Get(chunk)
-	n.tracker.Alloc(int64(chunk) * eb)
-	var paths []string
-	for lo := 0; lo < len(entries); lo += chunk {
-		hi := lo + chunk
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		part := entries[lo:hi]
-		lsort.ParallelRadixSort(part, scratch[:len(part)], normOf,
-			s.cmps.normBits, s.cmps.entryLess, workers)
-		w, werr := spill.NewWriter(filepath.Join(dir, fmt.Sprintf("lsort-%d.spill", len(paths))), s.codec, 0)
-		if werr == nil {
-			if werr = w.Append(part); werr == nil {
-				werr = w.Finish()
-			}
-		}
-		if werr != nil {
-			n.tracker.Free(int64(chunk) * eb)
-			n.entryPool.Put(scratch)
-			return werr
-		}
-		s.report.SpillBytes += w.BytesWritten()
-		paths = append(paths, w.Path())
+	x := s.node.eng.externalSort(s.cmps, nruns, dir, s.node.entryPool, &s.node.tracker)
+	if src != nil {
+		runs, err = x.FormRuns(s.ctx, lsort.NewSliceCursor(src), 0)
 	}
-	n.tracker.Free(int64(chunk) * eb)
-	n.entryPool.Put(scratch)
-
-	// Stream the chunk runs back. The decoded batches are fresh slabs
-	// (never aliasing entries), so merging into the buffer the chunks
-	// were read from is safe.
-	readers := make([]*spill.RunReader[K], len(paths))
-	cursors := make([]lsort.Cursor[comm.Entry[K]], len(paths))
-	ropts := spill.ReaderOpts[K]{Pool: n.entryPool, Tracker: &n.tracker, EntryBytes: eb}
-	for i, p := range paths {
-		r, rerr := spill.NewRunReader(p, s.codec, ropts)
-		if rerr != nil {
-			for _, open := range readers[:i] {
-				open.Close()
-			}
-			return rerr
-		}
-		readers[i] = r
-		cursors[i] = r
+	if err == nil {
+		err = x.MergeInto(s.ctx, runs, dst)
 	}
-	filled, merr := lsort.MergeCursors(entries, cursors, s.cmps.entryLess)
-	for i, r := range readers {
-		s.report.SpillReads += r.BytesRead()
-		r.Close()
-		os.Remove(paths[i])
-	}
-	if merr != nil {
-		return merr
-	}
-	if filled != len(entries) {
-		return fmt.Errorf("core: spill merge produced %d of %d entries: %w",
-			filled, len(entries), spill.ErrCorrupt)
-	}
-	return nil
+	s.report.SpillBytes += x.BytesWritten()
+	s.report.SpillReads += x.BytesRead()
+	return err
 }
 
 // splitterAgreement is steps 2-3: regular sampling, one buffer of samples
@@ -760,7 +703,8 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 		if derr != nil {
 			return nil, nil, nil, derr
 		}
-		sp, err = datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, dir)
+		sp, err = datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, dir,
+			spill.PlanFor(s.opts.MemoryBudget, s.codec, p).BlockBytes)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -936,7 +880,7 @@ func (s *sortRun[K]) finalMerge(asm *datamgr.Assembly[K], sp *datamgr.SpillAssem
 
 	t0 := time.Now()
 	if sp != nil {
-		merged, err := s.spillMerge(sp, int64(eb))
+		merged, err := s.spillMerge(sp)
 		s.report.Steps[StepFinalMerge] = time.Since(t0)
 		return merged, err
 	}
@@ -987,43 +931,16 @@ func (s *sortRun[K]) finalMerge(asm *datamgr.Assembly[K], sp *datamgr.SpillAssem
 	return merged, nil
 }
 
-// spillMerge drains a spilled exchange: one streaming cursor per source
-// run (an empty cursor for sources that sent nothing, so tie-breaking
-// by cursor index matches KWayMerge's run order exactly) feeds a loser
-// tree that fills the result buffer directly. Temporary memory is just
-// the decoded-ahead blocks — two slabs per non-empty source — however
-// large the runs are. The run files are removed before returning.
-func (s *sortRun[K]) spillMerge(sp *datamgr.SpillAssembly[K], eb int64) ([]comm.Entry[K], error) {
-	n := s.node
+// spillMerge drains a spilled exchange: the per-source run files, in
+// source order, merge through the external sort straight into the
+// result buffer, so ties break by source exactly as in KWayMerge. The
+// run files are removed before returning.
+func (s *sortRun[K]) spillMerge(sp *datamgr.SpillAssembly[K]) ([]comm.Entry[K], error) {
 	defer sp.Close()
-	readers, err := sp.Readers(spill.ReaderOpts[K]{Pool: n.entryPool, Tracker: &n.tracker, EntryBytes: eb})
-	if err != nil {
+	merged := s.node.entryPool.Get(sp.Total())
+	if err := s.externalSort(s.opts.Procs, nil, sp.Runs(), merged); err != nil {
+		s.node.entryPool.Put(merged)
 		return nil, err
-	}
-	cursors := make([]lsort.Cursor[comm.Entry[K]], len(readers))
-	for i, r := range readers {
-		if r == nil {
-			cursors[i] = lsort.NewSliceCursor[comm.Entry[K]](nil)
-		} else {
-			cursors[i] = r
-		}
-	}
-	total := sp.Total()
-	merged := n.entryPool.Get(total)
-	filled, merr := lsort.MergeCursors(merged, cursors, s.cmps.entryLess)
-	for _, r := range readers {
-		if r != nil {
-			s.report.SpillReads += r.BytesRead()
-			r.Close()
-		}
-	}
-	if merr == nil && filled != total {
-		merr = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
-			filled, total, spill.ErrCorrupt)
-	}
-	if merr != nil {
-		n.entryPool.Put(merged)
-		return nil, merr
 	}
 	return merged, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"syscall"
 	"testing"
 	"time"
 
@@ -237,6 +239,8 @@ func TestClassify(t *testing.T) {
 		{"injected", &failpoint.Error{Site: "x"}, FailTransient},
 		{"panic", &panicError{val: "boom"}, FailTransient},
 		{"frame", fmt.Errorf("send: %w", comm.ErrFrameTooLarge), FailDataDependent},
+		{"emfile", fmt.Errorf("spill: open run file: %w", &os.PathError{Op: "open", Path: "x.spill", Err: syscall.EMFILE}), FailTransient},
+		{"enospc", fmt.Errorf("spill: write block: %w", syscall.ENOSPC), FailTransient},
 		{"failure-passthrough", &Failure{Class: FailFatal, Err: errors.New("inner")}, FailFatal},
 	}
 	for _, tc := range cases {

@@ -58,6 +58,14 @@ func diffSpill[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, op
 	if got.Report.MergePath != "kway+spill" {
 		t.Fatalf("%s: MergePath = %q, want kway+spill", label, got.Report.MergePath)
 	}
+	// The budget holds on every node: the external sort's plan fits it,
+	// up to the sizing floors tiny budgets cannot pay for.
+	for i, nr := range got.Report.PerNode {
+		if limit := budgeted.MemoryBudget + spill.SlackBytes; nr.TempPeakBytes > limit {
+			t.Fatalf("%s: node %d TempPeakBytes = %d, want <= budget %d + slack %d",
+				label, i, nr.TempPeakBytes, budgeted.MemoryBudget, spill.SlackBytes)
+		}
+	}
 }
 
 // TestSpillDifferentialAllKinds: byte-identity under a tenth-of-the-data

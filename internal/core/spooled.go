@@ -5,7 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +14,6 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
-	"pgxsort/internal/lsort"
 	"pgxsort/internal/spill"
 	"pgxsort/internal/transport"
 )
@@ -34,53 +33,6 @@ import (
 // the same total order every other path sorts under, so the canonical
 // encoded bytes are identical to the resident pipeline's for the same
 // key multiset.
-
-const (
-	// spoolMergeFanIn bounds how many runs one merge pass reads at once.
-	// A k-way merge holds a couple of decoded block slabs per run, so
-	// bounding k makes the merge's working set a fixed slack independent
-	// of how many chunk runs the dataset produced; extra passes show up
-	// honestly in SpillBytes/SpillReads.
-	spoolMergeFanIn = 8
-	// defaultSpoolChunkBytes sizes a node's sort chunk when no
-	// MemoryBudget is set: spooled inputs still sort chunk at a time —
-	// the point of the path is never holding the dataset.
-	defaultSpoolChunkBytes = 32 << 20
-	// minSpoolChunkEntries keeps pathological budgets from degenerating
-	// into per-entry runs.
-	minSpoolChunkEntries = 256
-)
-
-// spoolBlockBytes picks the block size for spooled run files: small
-// enough that a fan-in's worth of decoded block slabs stays a fraction
-// of the budget, large enough to compress and batch I/O.
-func spoolBlockBytes(budget int64) int {
-	if budget <= 0 {
-		return spill.DefaultBlockBytes
-	}
-	bb := budget / (4 * spoolMergeFanIn)
-	if bb < 4<<10 {
-		bb = 4 << 10
-	}
-	if bb > spill.DefaultBlockBytes {
-		bb = spill.DefaultBlockBytes
-	}
-	return int(bb)
-}
-
-// spoolChunkEntries sizes one node's sort chunk: half the budget for the
-// chunk, half for the sort scratch, floored so tiny budgets still make
-// progress.
-func spoolChunkEntries(budget, eb int64) int {
-	chunk := int(defaultSpoolChunkBytes / (2 * eb))
-	if budget > 0 {
-		chunk = int(budget / (2 * eb))
-	}
-	if chunk < minSpoolChunkEntries {
-		chunk = minSpoolChunkEntries
-	}
-	return chunk
-}
 
 // SpooledInput describes a dataset landed in a spill run file by a
 // streaming ingress: entries in arrival order, any key order. The file
@@ -112,44 +64,45 @@ type SpooledResult[K cmp.Ordered] struct {
 	// TempPeakBytes settle at Close, once the stream has drained.
 	Report Report
 
-	cur      lsort.Cursor[comm.Entry[K]]
-	tracker  *alloc.Tracker
-	closers  []func() error
-	once     sync.Once
-	closeErr error
+	st           *spill.Stream[K]
+	x            *spill.ExternalSort[K]
+	dir          string
+	start        time.Time
+	sectionReads int64
+	release      func() // frees the scheduler slot, when admitted by one
+	once         sync.Once
+	closeErr     error
 }
 
 // Next yields the next sorted batch; a zero-length batch means the
 // stream is exhausted.
 func (r *SpooledResult[K]) Next() ([]comm.Entry[K], error) {
-	return r.cur.Next()
+	return r.st.Next()
 }
 
 // TempPeakBytes reports the job's tracker-accounted temporary-memory
-// high-water mark so far — chunk slabs, sort scratch and decoded block
-// slabs. It can still grow until the stream is drained.
-func (r *SpooledResult[K]) TempPeakBytes() int64 { return r.tracker.Peak() }
+// high-water mark so far — chunk slabs, sort scratch, decoded block
+// slabs and the merge batch. It can still grow until the stream is
+// drained.
+func (r *SpooledResult[K]) TempPeakBytes() int64 { return r.x.Tracker.Peak() }
 
 // Close releases readers, slabs and the scratch directory, and settles
 // Report. Idempotent.
 func (r *SpooledResult[K]) Close() error {
 	r.once.Do(func() {
-		for _, c := range r.closers {
-			if err := c(); err != nil && r.closeErr == nil {
-				r.closeErr = err
-			}
+		r.closeErr = r.st.Close()
+		if err := os.RemoveAll(r.dir); err != nil && r.closeErr == nil {
+			r.closeErr = err
 		}
-		r.Report.TempPeakBytes = r.tracker.Peak()
-		if len(r.Report.PerNode) > 0 {
-			r.Report.PerNode[0].TempPeakBytes = r.tracker.Peak()
+		r.Report.SpillReads = r.sectionReads + r.x.BytesRead()
+		r.Report.Total = time.Since(r.start)
+		r.Report.TempPeakBytes = r.TempPeakBytes()
+		r.Report.PerNode[0].TempPeakBytes = r.TempPeakBytes()
+		if r.release != nil {
+			r.release()
 		}
 	})
 	return r.closeErr
-}
-
-// addCloser appends a release hook run (in order) at Close.
-func (r *SpooledResult[K]) addCloser(f func() error) {
-	r.closers = append(r.closers, f)
 }
 
 // RunOneSpooled admits one spooled dataset through the scheduler's
@@ -170,10 +123,9 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in SpooledInput) (*Spo
 		return nil, ctx.Err()
 	}
 	s.noteAdmit(1)
-	release := func() error {
+	release := func() {
 		s.noteAdmit(-1)
 		<-s.gates.admit
-		return nil
 	}
 	pol := s.opts.Retry.withDefaults()
 	backoff := pol.BaseBackoff
@@ -183,7 +135,7 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in SpooledInput) (*Spo
 		res, err := s.eng.SortSpooled(ctx, in)
 		if err == nil {
 			res.Report.Attempts = attempt
-			res.addCloser(release)
+			res.release = release
 			return res, nil
 		}
 		if attempt >= pol.MaxAttempts || Classify(err) != FailTransient || ctx.Err() != nil {
@@ -208,9 +160,12 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in SpooledInput) (*Spo
 }
 
 // SortSpooled externally sorts a spooled input under the engine's memory
-// budget, returning a streaming result. Temporary memory — chunk slabs,
-// sort scratch, decoded block slabs — is tracker-accounted per job; the
-// working set is O(chunk + fanIn·block) per node, independent of N.
+// budget, returning a streaming result. Each node forms sorted runs from
+// its section of the spool within its own budget; the runs, in node
+// order, then merge through one external sort. Temporary memory — chunk
+// slabs, sort scratch, decoded block slabs, the merge batch — is
+// tracker-accounted per job and peaks at Procs budgets (plus
+// spill.SlackBytes) however large the input.
 func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *SpooledResult[K], err error) {
 	if in.Path == "" || in.N < 0 {
 		return nil, fmt.Errorf("core: bad spooled input (path %q, n %d)", in.Path, in.N)
@@ -220,21 +175,6 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	}
 	p := e.opts.Procs
 	cmps := e.comparators()
-	eb := int64(entryBytes[K]())
-	budget := e.opts.MemoryBudget
-	blockBytes := spoolBlockBytes(budget)
-	chunk := spoolChunkEntries(budget, eb)
-
-	// Job-local tracker and pool: spooled jobs are rare and large, and a
-	// job-local tracker gives an honest per-job TempPeakBytes (the node
-	// trackers are engine-lifetime and shared across concurrent jobs).
-	tracker := &alloc.Tracker{}
-	var pool *alloc.SlabPool[comm.Entry[K]]
-	if !e.opts.DisablePooling {
-		pool = &alloc.SlabPool[comm.Entry[K]]{}
-	}
-	ropts := spill.ReaderOpts[K]{Pool: pool, Tracker: tracker, EntryBytes: eb}
-
 	parent := e.opts.SpillDir
 	if parent == "" {
 		parent = os.TempDir()
@@ -248,17 +188,19 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 			os.RemoveAll(dir)
 		}
 	}()
+	// Job-local tracker and pool: spooled jobs are rare and large, and a
+	// job-local tracker gives an honest per-job TempPeakBytes (the node
+	// trackers are engine-lifetime and shared across concurrent jobs).
+	var pool *alloc.SlabPool[comm.Entry[K]]
+	if !e.opts.DisablePooling {
+		pool = &alloc.SlabPool[comm.Entry[K]]{}
+	}
+	x := e.externalSort(cmps, 0, dir, pool, &alloc.Tracker{})
 
 	start := time.Now()
-	var spillBytes, spillReads atomic.Int64
-
-	// Phase 1: run formation. Node i reads its contiguous section of the
-	// spool and writes sorted chunk runs that fit the budget.
-	type nodeOut struct {
-		runs []string
-		err  error
-	}
-	outs := make([]nodeOut, p)
+	var sectionReads atomic.Int64
+	nodeRuns := make([][]string, p)
+	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
 		lo := uint64(i) * uint64(in.N) / uint64(p)
@@ -269,286 +211,94 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 		wg.Add(1)
 		go func(node int, lo, hi uint64) {
 			defer wg.Done()
-			runs, rerr := e.formRuns(ctx, in, cmps, node, lo, hi, chunk, blockBytes,
-				dir, pool, tracker, eb, &spillBytes, &spillReads)
-			outs[node] = nodeOut{runs: runs, err: rerr}
+			nodeRuns[node], errs[node] = e.formSectionRuns(ctx, x, in, node, lo, hi, &sectionReads)
 		}(i, lo, hi)
 	}
 	wg.Wait()
-	var runs []string
-	for _, o := range outs {
-		if o.err != nil {
-			err = o.err
-			return nil, err
+	for _, nerr := range errs {
+		if nerr != nil {
+			return nil, nerr
 		}
-		runs = append(runs, o.runs...)
 	}
 	localSortDur := time.Since(start)
-
-	// Phase 2: bounded fan-in merge. While more than fanIn runs remain,
-	// merge groups of fanIn into intermediate runs; the survivors feed
-	// the streaming final merge.
-	pass := 0
-	for len(runs) > spoolMergeFanIn {
-		var next []string
-		for g := 0; g < len(runs); g += spoolMergeFanIn {
-			end := min(g+spoolMergeFanIn, len(runs))
-			if end-g == 1 {
-				next = append(next, runs[g])
-				continue
-			}
-			out := filepath.Join(dir, fmt.Sprintf("merge-%d-%d.spill", pass, g))
-			if err = e.mergeRunsTo(ctx, cmps, runs[g:end], out, blockBytes, chunk,
-				pool, tracker, ropts, eb, &spillBytes, &spillReads); err != nil {
-				return nil, err
-			}
-			for _, r := range runs[g:end] {
-				os.Remove(r)
-			}
-			next = append(next, out)
-		}
-		runs = next
-		pass++
-	}
-
-	// Final merge: prime a streaming cursor over the surviving runs.
-	readers := make([]lsort.Cursor[comm.Entry[K]], 0, len(runs))
-	var open []*spill.RunReader[K]
-	closeAll := func() {
-		for _, r := range open {
-			r.Close()
-		}
-	}
-	for _, path := range runs {
-		rr, oerr := spill.NewRunReader(path, e.codec, ropts)
-		if oerr != nil {
-			closeAll()
-			err = oerr
-			return nil, err
-		}
-		open = append(open, rr)
-		readers = append(readers, rr)
-	}
-	batch := pool.Get(spoolBatchEntries(chunk))
-	tracker.Alloc(int64(len(batch)) * eb)
-	mc, merr := lsort.NewMergeCursor(readers, cmps.entryLess, batch)
-	if merr != nil {
-		tracker.Free(int64(len(batch)) * eb)
-		pool.Put(batch)
-		closeAll()
-		err = merr
+	st, err := x.Merge(ctx, slices.Concat(nodeRuns...))
+	if err != nil {
 		return nil, err
 	}
-
-	res = &SpooledResult[K]{
-		N:       in.N,
-		cur:     mc,
-		tracker: tracker,
-	}
+	res = &SpooledResult[K]{N: in.N, st: st, x: x, dir: dir, start: start, sectionReads: sectionReads.Load()}
 	res.Report = Report{
 		Procs:         p,
 		Workers:       e.opts.WorkersPerProc,
 		N:             in.N,
 		LocalSortPath: cmps.path,
 		MergePath:     "spooled-kway+spill",
-		SpillBytes:    spillBytes.Load(),
-		SpillReads:    spillReads.Load(),
+		SpillBytes:    x.BytesWritten(),
+		SpillReads:    res.sectionReads + x.BytesRead(),
 		PerNode:       make([]NodeReport, 1),
 	}
 	res.Report.Steps[StepLocalSort] = localSortDur
-	res.addCloser(func() error {
-		tracker.Free(int64(len(batch)) * eb)
-		pool.Put(batch)
-		var first error
-		for _, r := range open {
-			spillReads.Add(r.BytesRead())
-			if cerr := r.Close(); cerr != nil && first == nil {
-				first = cerr
-			}
-		}
-		open = nil
-		res.Report.SpillReads = spillReads.Load()
-		res.Report.SpillBytes = spillBytes.Load()
-		res.Report.Total = time.Since(start)
-		if rerr := os.RemoveAll(dir); rerr != nil && first == nil {
-			first = rerr
-		}
-		return first
-	})
 	return res, nil
 }
 
-// spoolBatchEntries sizes the merge output batch: a fraction of the
-// chunk so the stream's granularity scales with the budget.
-func spoolBatchEntries(chunk int) int {
-	b := chunk / 4
-	if b < minSpoolChunkEntries {
-		b = minSpoolChunkEntries
+// externalSort configures the external sort every out-of-core path runs
+// through: this engine's codec, key order and workers, planned from
+// Options.MemoryBudget for a merge of nruns runs (0 when not known).
+func (e *Engine[K]) externalSort(cmps sortCmps[K], nruns int, dir string,
+	pool *alloc.SlabPool[comm.Entry[K]], tracker *alloc.Tracker) *spill.ExternalSort[K] {
+	workers := e.opts.WorkersPerProc
+	return &spill.ExternalSort[K]{
+		Codec: e.codec,
+		Less:  cmps.entryLess,
+		Sort: func(chunk, scratch []comm.Entry[K]) {
+			cmps.sortEntries(chunk, scratch, workers)
+		},
+		Plan:    spill.PlanFor(e.opts.MemoryBudget, e.codec, nruns),
+		Dir:     dir,
+		Pool:    pool,
+		Tracker: tracker,
 	}
-	return b
 }
 
-// formRuns is phase 1 for one node: stream the section, sort chunks
-// under the budget, spill each as a sorted run.
-func (e *Engine[K]) formRuns(ctx context.Context, in SpooledInput, cmps sortCmps[K],
-	node int, lo, hi uint64, chunk, blockBytes int, dir string,
-	pool *alloc.SlabPool[comm.Entry[K]], tracker *alloc.Tracker, eb int64,
-	spillBytes, spillReads *atomic.Int64) (runs []string, err error) {
-
+// formSectionRuns forms one node's sorted runs from entries [lo, hi) of
+// the spool. The section reader's decoded blocks come out of the node's
+// budget, so the chunks shrink to make room for them.
+func (e *Engine[K]) formSectionRuns(ctx context.Context, x *spill.ExternalSort[K], in SpooledInput,
+	node int, lo, hi uint64, reads *atomic.Int64) ([]string, error) {
+	eb := int64(entryBytes[K]())
 	sec, err := spill.NewRunReaderSection(in.Path, e.codec,
-		spill.ReaderOpts[K]{Pool: pool, Tracker: tracker, EntryBytes: eb}, lo, hi-lo)
+		spill.ReaderOpts[K]{Pool: x.Pool, Tracker: x.Tracker, EntryBytes: eb}, lo, hi-lo)
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		spillReads.Add(sec.BytesRead())
+		reads.Add(sec.BytesRead())
 		sec.Close()
-		if err != nil {
-			for _, r := range runs {
-				os.Remove(r)
-			}
-		}
 	}()
-
-	buf := pool.Get(chunk)
-	scratch := pool.Get(chunk)
-	tracker.Alloc(2 * int64(chunk) * eb)
-	defer func() {
-		tracker.Free(2 * int64(chunk) * eb)
-		pool.Put(buf)
-		pool.Put(scratch)
-	}()
-
-	var (
-		pending []comm.Entry[K] // unconsumed tail of the current batch
-		seq     uint32
-		done    bool
-	)
-	for !done {
-		if err = ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Fill one chunk from the section cursor.
-		fill := 0
-		for fill < chunk {
-			if len(pending) == 0 {
-				if in.ReadSite != "" {
-					if err = failpoint.HitNoPanic(in.ReadSite); err != nil {
-						return nil, err
-					}
-				}
-				if pending, err = sec.Next(); err != nil {
-					return nil, err
-				}
-				if len(pending) == 0 {
-					done = true
-					break
-				}
-			}
-			n := copy(buf[fill:chunk], pending)
-			// Restamp provenance: the spool holds arrival order from one
-			// ingress stream, but the sorted output's tie-break provenance
-			// is (section, position-in-section), matching the resident
-			// path's (node, index).
-			for j := fill; j < fill+n; j++ {
-				buf[j].Proc = uint32(node)
-				buf[j].Index = seq
-				seq++
-			}
-			fill += n
-			pending = pending[n:]
-		}
-		if fill == 0 {
-			break
-		}
-		entries := buf[:fill]
-		workers := e.opts.WorkersPerProc
-		if cmps.useRadix {
-			key := func(en comm.Entry[K]) uint64 { return cmps.norm(en.Key) }
-			lsort.ParallelRadixSort(entries, scratch[:fill], key, cmps.normBits, cmps.entryLess, workers)
-			if cmps.fallback {
-				lsort.SortEqualNormRuns(entries, key, cmps.entryLess)
-			}
-		} else {
-			lsort.ParallelSortScratch(entries, scratch[:fill], cmps.entryLess, workers)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("run-%d-%d.spill", node, len(runs)))
-		w, werr := spill.NewWriter(path, e.codec, blockBytes)
-		if werr != nil {
-			err = werr
-			return nil, err
-		}
-		if err = w.Append(entries); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if err = w.Finish(); err != nil {
-			return nil, err
-		}
-		spillBytes.Add(w.BytesWritten())
-		runs = append(runs, path)
-	}
-	return runs, nil
+	src := &sectionCursor[K]{r: sec, site: in.ReadSite, node: uint32(node)}
+	return x.FormRuns(ctx, src, 2*int64(sec.MaxBatch())*eb)
 }
 
-// mergeRunsTo streams one bounded fan-in merge pass: the group's runs
-// merge through a MergeCursor into a fresh run file.
-func (e *Engine[K]) mergeRunsTo(ctx context.Context, cmps sortCmps[K], group []string,
-	out string, blockBytes, chunk int, pool *alloc.SlabPool[comm.Entry[K]],
-	tracker *alloc.Tracker, ropts spill.ReaderOpts[K], eb int64,
-	spillBytes, spillReads *atomic.Int64) (err error) {
+// sectionCursor feeds a node's spool section to run formation. It
+// restamps provenance: the spool holds arrival order from one ingress
+// stream, but the sorted output's tie-break provenance is (section,
+// position in section), matching the resident path's (node, index).
+type sectionCursor[K any] struct {
+	r    *spill.RunReader[K]
+	site string // SpooledInput.ReadSite
+	node uint32
+	seq  uint32
+}
 
-	readers := make([]lsort.Cursor[comm.Entry[K]], 0, len(group))
-	var open []*spill.RunReader[K]
-	defer func() {
-		for _, r := range open {
-			spillReads.Add(r.BytesRead())
-			r.Close()
-		}
-	}()
-	for _, path := range group {
-		rr, oerr := spill.NewRunReader(path, e.codec, ropts)
-		if oerr != nil {
-			return oerr
-		}
-		open = append(open, rr)
-		readers = append(readers, rr)
-	}
-	batch := pool.Get(spoolBatchEntries(chunk))
-	tracker.Alloc(int64(len(batch)) * eb)
-	defer func() {
-		tracker.Free(int64(len(batch)) * eb)
-		pool.Put(batch)
-	}()
-	mc, err := lsort.NewMergeCursor(readers, cmps.entryLess, batch)
-	if err != nil {
-		return err
-	}
-	w, err := spill.NewWriter(out, e.codec, blockBytes)
-	if err != nil {
-		return err
-	}
-	for {
-		if err = ctx.Err(); err != nil {
-			w.Abort()
-			return err
-		}
-		part, merr := mc.Next()
-		if merr != nil {
-			w.Abort()
-			return merr
-		}
-		if len(part) == 0 {
-			break
-		}
-		if err = w.Append(part); err != nil {
-			w.Abort()
-			return err
+func (c *sectionCursor[K]) Next() ([]comm.Entry[K], error) {
+	if c.site != "" {
+		if err := failpoint.HitNoPanic(c.site); err != nil {
+			return nil, err
 		}
 	}
-	if err = w.Finish(); err != nil {
-		return err
+	batch, err := c.r.Next()
+	for i := range batch {
+		batch[i].Proc, batch[i].Index = c.node, c.seq
+		c.seq++
 	}
-	spillBytes.Add(w.BytesWritten())
-	return nil
+	return batch, err
 }

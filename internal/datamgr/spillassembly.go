@@ -13,61 +13,47 @@ import (
 // SpillAssembly is Assembly's out-of-core sibling: instead of landing
 // peer chunks in one resident buffer at precomputed offsets, each
 // source's run streams straight into its own spill.Writer block file.
-// The contract is otherwise identical — per-source chunks arrive FIFO
-// and append in order, different sources may write concurrently (each
-// owns its writer), OnRunComplete fires the moment a source's expected
-// count lands, and Done closes when everything has. The final merge then
-// consumes spill.RunReader cursors instead of in-memory regions.
+// The write contract is otherwise identical — per-source chunks arrive
+// FIFO and append in order, and different sources may write
+// concurrently (each owns its writer). The final merge then reads the
+// sealed run files (Runs) instead of in-memory regions.
 type SpillAssembly[K any] struct {
-	codec   comm.Codec[K]
 	writers []*spill.Writer[K] // nil for sources expecting zero entries
 	expect  []int
 	cursor  []int
 
-	gotMu    sync.Mutex
-	missing  int
-	signaled bool
-	done     chan struct{}
-	runDone  []bool
-	notified []bool
-	onRun    func(src int)
-	closed   bool
+	mu      sync.Mutex
+	runDone []bool
+	closed  bool
 }
 
 // NewSpillAssembly creates one run file per non-empty source under dir
-// (dir must exist; files are named run-<src>.spill). Unlike NewAssembly
+// (dir must exist; files are named run-<src>.spill) with blocks of
+// blockBytes (<= 0 selects spill.DefaultBlockBytes). Unlike NewAssembly
 // there is no tracker accounting for the assembled entries — the entire
 // point is that they are not resident.
-func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir string) (*SpillAssembly[K], error) {
+func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir string, blockBytes int) (*SpillAssembly[K], error) {
 	a := &SpillAssembly[K]{
-		codec:    c,
-		writers:  make([]*spill.Writer[K], len(perSrc)),
-		expect:   append([]int(nil), perSrc...),
-		cursor:   make([]int, len(perSrc)),
-		done:     make(chan struct{}),
-		runDone:  make([]bool, len(perSrc)),
-		notified: make([]bool, len(perSrc)),
+		writers: make([]*spill.Writer[K], len(perSrc)),
+		expect:  append([]int(nil), perSrc...),
+		cursor:  make([]int, len(perSrc)),
+		runDone: make([]bool, len(perSrc)),
 	}
 	for src, n := range perSrc {
 		if n < 0 {
 			a.Close()
 			return nil, fmt.Errorf("datamgr: negative expected count %d from source %d", n, src)
 		}
-		a.missing += n
 		a.runDone[src] = n == 0
 		if n == 0 {
 			continue
 		}
-		w, err := spill.NewWriter(filepath.Join(dir, fmt.Sprintf("run-%d.spill", src)), c, 0)
+		w, err := spill.NewWriter(filepath.Join(dir, fmt.Sprintf("run-%d.spill", src)), c, blockBytes)
 		if err != nil {
 			a.Close()
 			return nil, err
 		}
 		a.writers[src] = w
-	}
-	if a.missing == 0 {
-		a.signaled = true
-		close(a.done)
 	}
 	return a, nil
 }
@@ -90,63 +76,24 @@ func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
 	if a.writers[src] == nil {
 		// A zero-count source has no run file; the only chunk that can
 		// reach it is an empty one (a node's own empty range, say), and
-		// its run was already marked done at construction.
+		// its run was already marked complete at construction.
 		return nil
 	}
 	if err := a.writers[src].Append(chunk); err != nil {
 		return err
 	}
 	a.cursor[src] = cur + len(chunk)
-	complete := a.cursor[src] == a.expect[src]
-	if complete {
-		// Seal the run so readers can open it the moment the merge
-		// wants it; a Finish failure surfaces like a write failure.
+	if a.cursor[src] == a.expect[src] {
+		// Seal the run so the merge can open it; a Finish failure
+		// surfaces like a write failure.
 		if err := a.writers[src].Finish(); err != nil {
 			return err
 		}
-	}
-
-	a.gotMu.Lock()
-	a.missing -= len(chunk)
-	finished := a.missing == 0 && !a.signaled
-	if finished {
-		a.signaled = true
-	}
-	var notify func(src int)
-	if complete {
+		a.mu.Lock()
 		a.runDone[src] = true
-		if a.onRun != nil && !a.notified[src] {
-			a.notified[src] = true
-			notify = a.onRun
-		}
-	}
-	a.gotMu.Unlock()
-	if notify != nil {
-		notify(src)
-	}
-	if finished {
-		close(a.done)
+		a.mu.Unlock()
 	}
 	return nil
-}
-
-// OnRunComplete mirrors Assembly.OnRunComplete: fn fires exactly once
-// per source as soon as its run file is sealed (immediately for sources
-// expecting zero entries).
-func (a *SpillAssembly[K]) OnRunComplete(fn func(src int)) {
-	a.gotMu.Lock()
-	a.onRun = fn
-	var fire []int
-	for src := range a.expect {
-		if a.runDone[src] && !a.notified[src] {
-			a.notified[src] = true
-			fire = append(fire, src)
-		}
-	}
-	a.gotMu.Unlock()
-	for _, src := range fire {
-		fn(src)
-	}
 }
 
 // RunComplete reports whether source src's run file is sealed.
@@ -154,13 +101,10 @@ func (a *SpillAssembly[K]) RunComplete(src int) bool {
 	if src < 0 || src >= len(a.runDone) {
 		return false
 	}
-	a.gotMu.Lock()
-	defer a.gotMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	return a.runDone[src]
 }
-
-// Done is closed once every expected entry has been written.
-func (a *SpillAssembly[K]) Done() <-chan struct{} { return a.done }
 
 // Total reports the summed expected entry count across sources.
 func (a *SpillAssembly[K]) Total() int {
@@ -182,27 +126,16 @@ func (a *SpillAssembly[K]) SpillBytes() int64 {
 	return total
 }
 
-// Readers opens a RunReader per source, in source order (nil for empty
-// sources), each configured with the caller's slab pool and tracker.
-// Callers own the readers and must Close every non-nil one.
-func (a *SpillAssembly[K]) Readers(opts spill.ReaderOpts[K]) ([]*spill.RunReader[K], error) {
-	readers := make([]*spill.RunReader[K], len(a.writers))
-	for src, w := range a.writers {
-		if w == nil {
-			continue
+// Runs lists the sealed run files of the non-empty sources, in source
+// order — the merge's tie order.
+func (a *SpillAssembly[K]) Runs() []string {
+	var runs []string
+	for _, w := range a.writers {
+		if w != nil {
+			runs = append(runs, w.Path())
 		}
-		r, err := spill.NewRunReader(w.Path(), a.codec, opts)
-		if err != nil {
-			for _, open := range readers {
-				if open != nil {
-					open.Close()
-				}
-			}
-			return nil, err
-		}
-		readers[src] = r
 	}
-	return readers, nil
+	return runs
 }
 
 // Close removes every run file. Safe to call multiple times and at any

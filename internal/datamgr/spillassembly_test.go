@@ -12,24 +12,16 @@ import (
 
 // TestSpillAssemblyMatchesAssembly: the same chunk traffic lands in a
 // resident Assembly and a SpillAssembly; every source's run must read
-// back byte-identical, with completion notifications firing once each.
+// back byte-identical, and every run must be complete once it landed.
 func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 	m := &Manager{}
 	perSrc := []int{1000, 0, 2500, 7}
 	resident := NewAssembly[uint64](m, perSrc, 16)
-	spilled, err := NewSpillAssembly(m, perSrc, comm.U64Codec{}, t.TempDir())
+	spilled, err := NewSpillAssembly(m, perSrc, comm.U64Codec{}, t.TempDir(), 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer spilled.Close()
-
-	var mu sync.Mutex
-	completions := map[int]int{}
-	spilled.OnRunComplete(func(src int) {
-		mu.Lock()
-		completions[src]++
-		mu.Unlock()
-	})
 
 	var wg sync.WaitGroup
 	for src, n := range perSrc {
@@ -62,10 +54,10 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 		}(src, n)
 	}
 	wg.Wait()
-	select {
-	case <-spilled.Done():
-	default:
-		t.Fatal("spilled assembly not done after all writes")
+	for src := range perSrc {
+		if !spilled.RunComplete(src) {
+			t.Fatalf("source %d not complete after all writes", src)
+		}
 	}
 	if spilled.Total() != 3507 {
 		t.Fatalf("Total = %d", spilled.Total())
@@ -74,27 +66,21 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 		t.Fatalf("SpillBytes = %d", spilled.SpillBytes())
 	}
 
-	mu.Lock()
-	for src, n := range perSrc {
-		want := 1
-		if completions[src] != want {
-			t.Fatalf("source %d completed %d times (expect %d, n=%d)", src, completions[src], want, n)
-		}
-	}
-	mu.Unlock()
-
-	readers, err := spilled.Readers(spill.ReaderOpts[uint64]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for src, r := range readers {
+	// Runs lists the non-empty sources' files in source order.
+	runs := spilled.Runs()
+	for src := range perSrc {
 		want := resident.Run(src)
-		if r == nil {
-			if len(want) != 0 {
-				t.Fatalf("source %d: no reader for %d entries", src, len(want))
-			}
+		if len(want) == 0 {
 			continue
 		}
+		if len(runs) == 0 {
+			t.Fatalf("source %d: no run file for %d entries", src, len(want))
+		}
+		r, err := spill.NewRunReader(runs[0], comm.U64Codec{}, spill.ReaderOpts[uint64]{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = runs[1:]
 		var got []comm.Entry[uint64]
 		for {
 			batch, err := r.Next()
@@ -116,13 +102,16 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 			}
 		}
 	}
+	if len(runs) != 0 {
+		t.Fatalf("%d run files left over for empty sources", len(runs))
+	}
 }
 
 // TestSpillAssemblyOverflowAndClose: region overflow errors like the
 // resident assembly, and Close removes every run file.
 func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 	dir := t.TempDir()
-	a, err := NewSpillAssembly(&Manager{}, []int{2}, comm.U64Codec{}, dir)
+	a, err := NewSpillAssembly(&Manager{}, []int{2}, comm.U64Codec{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +139,10 @@ func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 
 // TestSpillAssemblyEmptySource: a source expecting zero entries has no
 // run file, yet an empty chunk for it (a node writing its own empty
-// range) must be a no-op, not a nil-writer panic, and Done must already
-// account for it.
+// range) must be a no-op, not a nil-writer panic, and the source must
+// count as complete from the start.
 func TestSpillAssemblyEmptySource(t *testing.T) {
-	a, err := NewSpillAssembly(&Manager{}, []int{0, 1}, comm.U64Codec{}, t.TempDir())
+	a, err := NewSpillAssembly(&Manager{}, []int{0, 1}, comm.U64Codec{}, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +156,7 @@ func TestSpillAssemblyEmptySource(t *testing.T) {
 	if err := a.Write(1, []comm.Entry[uint64]{{Key: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-a.Done():
-	default:
-		t.Fatal("assembly not done after the only expected entry landed")
+	if !a.RunComplete(1) {
+		t.Fatal("run not complete after its only expected entry landed")
 	}
 }

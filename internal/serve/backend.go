@@ -52,10 +52,10 @@ type backend interface {
 	// decoder: bodies at most threshold raw bytes accumulate resident
 	// (and re-encode byte-identically, so cache hashing still works),
 	// larger ones land in a spill-tier run file at spoolPath. A
-	// threshold < 0 disables spooling. blockBytes sizes the spool's
-	// blocks (0 = spill default); attempts bounds in-place retries of
-	// transient spool-write failures.
-	ingest(r io.Reader, spoolPath string, threshold int64, blockBytes, maxKeys, attempts int) (*ingestResult, *apiError)
+	// threshold < 0 disables spooling. budget is the engines' memory
+	// budget, which sizes the spool's blocks; attempts bounds in-place
+	// retries of transient spool-write failures.
+	ingest(r io.Reader, spoolPath string, threshold, budget int64, maxKeys, attempts int) (*ingestResult, *apiError)
 	// sortSpooledTo runs one spooled upload through the scheduler's
 	// out-of-core path and streams the canonical sorted bytes straight
 	// from the final-merge cursor to w — no whole-result buffer. The
@@ -311,7 +311,7 @@ func (b *typedBackend[K]) sortOn(ctx context.Context, sched *core.Scheduler[K], 
 // Past the threshold the accumulation replays into a spill run file and
 // every further batch follows it — the body's resident footprint stays
 // one decoder window plus one batch, however large the upload.
-func (b *typedBackend[K]) ingest(r io.Reader, spoolPath string, threshold int64, blockBytes, maxKeys, attempts int) (*ingestResult, *apiError) {
+func (b *typedBackend[K]) ingest(r io.Reader, spoolPath string, threshold, budget int64, maxKeys, attempts int) (*ingestResult, *apiError) {
 	dec := keyio.NewStreamDecoder(r, b.scan, 0)
 	var (
 		keys []K
@@ -358,7 +358,7 @@ func (b *typedBackend[K]) ingest(r io.Reader, spoolPath string, threshold int64,
 					fmt.Sprintf("%d keys exceeds the %d-key limit", n, maxKeys)})
 			}
 			if w == nil && threshold >= 0 && dec.BytesRead() > threshold {
-				sw, werr := spill.NewWriter(spoolPath, b.codec, blockBytes)
+				sw, werr := spill.NewWriter(spoolPath, b.codec, uploadBlockBytes(budget, b.codec))
 				if werr != nil {
 					return fail(uploadError(werr, b.kt))
 				}

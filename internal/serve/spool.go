@@ -10,8 +10,10 @@ import (
 	"syscall"
 	"time"
 
+	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/keyio"
+	"pgxsort/internal/spill"
 )
 
 // The spool-tier failpoint sites. FpSpoolWrite fires before each batch
@@ -115,23 +117,13 @@ func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, b backend,
 		threshold = -1
 	}
 	path := filepath.Join(s.spoolDir(), "pgxsortd-upload-"+id+".spool")
-	return b.ingest(body, path, threshold, uploadBlockBytes(s.cfg.MemoryBudget), s.cfg.MaxKeys, s.cfg.RetryAttempts)
+	return b.ingest(body, path, threshold, s.cfg.MemoryBudget, s.cfg.MaxKeys, s.cfg.RetryAttempts)
 }
 
-// uploadBlockBytes sizes the upload spool's blocks to the engine memory
-// budget, mirroring the engine's own run-file block sizing: the spooled
-// sort's section readers keep two decoded blocks in flight per node, so
-// budget-sized servers must not ingest into huge blocks.
-func uploadBlockBytes(budget int64) int {
-	if budget <= 0 {
-		return 0 // spill.DefaultBlockBytes
-	}
-	bb := budget / 32
-	if bb < 4<<10 {
-		bb = 4 << 10
-	}
-	if bb > 128<<10 {
-		bb = 128 << 10
-	}
-	return int(bb)
+// uploadBlockBytes sizes the upload spool's blocks by the engines'
+// external-sort plan for the same budget: the spooled sort's section
+// readers hold two decoded blocks per node out of that budget, so
+// budget-sized servers must not ingest into larger blocks.
+func uploadBlockBytes[K any](budget int64, c comm.Codec[K]) int {
+	return spill.PlanFor(budget, c, 0).BlockBytes
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pgxsort/internal/comm"
 	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/keyio"
@@ -320,8 +321,10 @@ func TestEnvBudgetResolvesInServeConfig(t *testing.T) {
 	if cfg.SpoolThreshold != 64<<10 {
 		t.Fatalf("SpoolThreshold = %d, want clamped to the %d budget", cfg.SpoolThreshold, 64<<10)
 	}
-	if bb := uploadBlockBytes(cfg.MemoryBudget); bb != 4<<10 {
-		t.Fatalf("uploadBlockBytes(%d) = %d, want %d", cfg.MemoryBudget, bb, 4<<10)
+	flagBB := uploadBlockBytes(64<<10, comm.U64Codec{})
+	if bb := uploadBlockBytes(cfg.MemoryBudget, comm.U64Codec{}); bb != flagBB || bb >= uploadBlockBytes(0, comm.U64Codec{}) {
+		t.Fatalf("uploadBlockBytes(%d) = %d, want the flag-budgeted %d, below the unbudgeted size",
+			cfg.MemoryBudget, bb, flagBB)
 	}
 
 	// An explicit budget still wins over the env.

@@ -38,9 +38,11 @@ type decoded[K any] struct {
 
 // RunReader streams one spilled run back as an lsort.Cursor: Next yields
 // one decoded block per call, while a prefetch goroutine keeps exactly
-// one further block decoded ahead. The previous batch's slab is recycled
-// on the following Next, so a merge over k spilled runs holds at most 2k
-// block slabs however large the runs are.
+// one further block decoded ahead (it hands blocks over on an unbuffered
+// channel, so none waits in between). The previous batch's slab is
+// recycled on the following Next, so a reader holds at most two block
+// slabs and a merge over k spilled runs at most 2k, however large the
+// runs are.
 type RunReader[K any] struct {
 	f     *os.File
 	codec comm.Codec[K]
@@ -77,7 +79,7 @@ func NewRunReader[K any](path string, c comm.Codec[K], opts ReaderOpts[K]) (*Run
 		f.Close()
 		return nil, err
 	}
-	r.ch = make(chan decoded[K], 1)
+	r.ch = make(chan decoded[K])
 	r.stop = make(chan struct{})
 	go r.prefetch(r.stop)
 	return r, nil
@@ -122,7 +124,7 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 	r.skip = int(offset - cum)
 	r.limit = limit
 	r.total = limit
-	r.ch = make(chan decoded[K], 1)
+	r.ch = make(chan decoded[K])
 	r.stop = make(chan struct{})
 	go r.prefetch(r.stop)
 	return r, nil
@@ -160,7 +162,9 @@ func (r *RunReader[K]) loadIndex() error {
 	r.total = binary.LittleEndian.Uint64(tr[12:])
 	wantCRC := binary.LittleEndian.Uint32(tr[20:])
 	idxLen := int64(blocks) * indexEntrySize
-	if indexOff < headerSize || int64(indexOff)+idxLen != size-trailerSize {
+	// indexOff is bounded by the file before any arithmetic: a huge value
+	// would wrap int64 and let an arbitrary block count size the index.
+	if indexOff < headerSize || indexOff > uint64(size) || int64(indexOff)+idxLen != size-trailerSize {
 		return corruptf("index at %d (+%d) does not abut trailer in %d-byte file", indexOff, idxLen, size)
 	}
 	idx := make([]byte, idxLen)
@@ -171,6 +175,7 @@ func (r *RunReader[K]) loadIndex() error {
 		return corruptf("index checksum %08x, want %08x", got, wantCRC)
 	}
 	r.index = make([]blockMeta, blocks)
+	minWire := comm.MinEntryWireBytes(r.codec)
 	next, entries := uint64(headerSize), uint64(0)
 	for i := range r.index {
 		m := &r.index[i]
@@ -183,6 +188,15 @@ func (r *RunReader[K]) loadIndex() error {
 		if m.offset != next || m.offset+uint64(m.storedLen) > indexOff {
 			return corruptf("block %d at offset %d (want %d, %d stored bytes, index at %d)",
 				i, m.offset, next, m.storedLen, indexOff)
+		}
+		// The decode path allocates rawLen bytes and count entries, so
+		// both are checked against what the stored bytes can hold before
+		// any block is read.
+		if m.flags&blockCompressed != 0 && uint64(m.rawLen) > maxInflate*uint64(m.storedLen) {
+			return corruptf("block %d: %d raw bytes cannot inflate from %d stored", i, m.rawLen, m.storedLen)
+		}
+		if uint64(m.count)*uint64(minWire) > uint64(m.rawLen) {
+			return corruptf("block %d: %d entries cannot fit in %d raw bytes", i, m.count, m.rawLen)
 		}
 		next = m.offset + uint64(m.storedLen)
 		entries += uint64(m.count)
@@ -197,7 +211,7 @@ func (r *RunReader[K]) loadIndex() error {
 }
 
 // prefetch decodes blocks in order, staying exactly one decoded block
-// ahead of the consumer (the channel has capacity 1). Buffers for stored
+// ahead of the consumer (the channel is unbuffered). Buffers for stored
 // and raw bytes are reused across blocks; entry slabs come from the pool
 // and travel to the consumer, who recycles them via Next/Close.
 func (r *RunReader[K]) prefetch(stop <-chan struct{}) {
@@ -242,24 +256,19 @@ func (r *RunReader[K]) prefetch(stop <-chan struct{}) {
 	}
 }
 
-// trimBatch narrows a decoded block to its section overlap. The trimmed
-// entries move to a fresh slab so slab recycling and tracker accounting
-// keep seeing whole allocations; at most two blocks per section (first
-// and last) pay the copy.
+// trimBatch narrows a decoded block to its section overlap, in place:
+// the overlap moves to the front of the slab and the dropped entries'
+// accounting is freed at once. At most two blocks per section (first and
+// last) pay the copy.
 func (r *RunReader[K]) trimBatch(batch []comm.Entry[K], lo, hi int) []comm.Entry[K] {
 	if lo == 0 && hi == len(batch) {
 		return batch
 	}
-	fresh := r.opts.Pool.Get(hi - lo)
-	if fresh == nil { // nil pool, zero-length trim
-		fresh = make([]comm.Entry[K], hi-lo)
-	}
-	copy(fresh, batch[lo:hi])
+	n := copy(batch, batch[lo:hi])
 	if r.opts.Tracker != nil {
-		r.opts.Tracker.Alloc(int64(len(fresh)) * r.opts.EntryBytes)
+		r.opts.Tracker.Free(int64(len(batch)-n) * r.opts.EntryBytes)
 	}
-	r.recycle(batch)
-	return fresh
+	return batch[:n]
 }
 
 // readBlock fetches, verifies and decodes one block. stored/raw/fr/br
@@ -302,7 +311,7 @@ func (r *RunReader[K]) readBlock(m *blockMeta, stored, raw *[]byte, fr *io.ReadC
 		return nil, corruptf("block at %d: %v", m.offset, err)
 	}
 	if len(rest) != 0 {
-		r.recycle(entries)
+		r.opts.Pool.Put(entries) // not yet accounted: no recycle
 		return nil, corruptf("block at %d: %d trailing bytes after %d entries", m.offset, len(rest), m.count)
 	}
 	if r.opts.Tracker != nil {
@@ -343,6 +352,16 @@ func (r *RunReader[K]) Next() ([]comm.Entry[K], error) {
 	}
 	r.prev = d.entries
 	return d.entries, nil
+}
+
+// MaxBatch reports the most entries one Next can yield: the largest
+// block count among the blocks this reader will decode.
+func (r *RunReader[K]) MaxBatch() int {
+	most := 0
+	for _, m := range r.index {
+		most = max(most, int(m.count))
+	}
+	return most
 }
 
 // Count reports the total entries in the run (from the trailer).

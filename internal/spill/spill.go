@@ -55,6 +55,11 @@ const (
 	// flate-compressed; absent, the stored bytes are the raw encoding
 	// (the store-raw fallback for incompressible data).
 	blockCompressed = 1 << 0
+
+	// maxInflate is DEFLATE's largest expansion ratio (a 258-byte match
+	// costs at least two bits): no valid compressed block inflates to
+	// more than this many times its stored size.
+	maxInflate = 1032
 )
 
 // Failpoint sites covering spill I/O, wired into the soak storm like
@@ -103,6 +108,7 @@ type Writer[K any] struct {
 	codec comm.Codec[K]
 
 	blockBytes int
+	minWire    int    // comm.MinEntryWireBytes(codec)
 	pending    []byte // raw encoding of the open block
 	pendCount  uint32
 	comp       bytes.Buffer
@@ -130,6 +136,7 @@ func NewWriter[K any](path string, c comm.Codec[K], blockBytes int) (*Writer[K],
 		bw:         bufio.NewWriterSize(f, 1<<16),
 		codec:      c,
 		blockBytes: blockBytes,
+		minWire:    comm.MinEntryWireBytes(c),
 		off:        headerSize,
 	}
 	var hdr [headerSize]byte
@@ -143,19 +150,20 @@ func NewWriter[K any](path string, c comm.Codec[K], blockBytes int) (*Writer[K],
 }
 
 // Append encodes entries onto the open block, flushing completed blocks
-// as the target size fills. The entries (and their payloads) are fully
-// copied before Append returns.
+// as the target size fills. Each step sizes itself by the entries' wire
+// size, estimated from a prefix but never below comm.MinEntryWireBytes,
+// so a block holds at most one entry more than
+// BlockBytes/MinEntryWireBytes: a reader's decoded batch is bounded by
+// the block size whatever the keys. The entries (and their payloads) are
+// fully copied before Append returns.
 func (w *Writer[K]) Append(entries []comm.Entry[K]) error {
 	if w.failed != nil {
 		return w.failed
 	}
 	for len(entries) > 0 {
-		est := comm.EntryWireEstimate(entries, w.codec)
-		if est < 1 {
-			est = 1
-		}
-		room := w.blockBytes - len(w.pending)
-		step := room / est
+		sample := entries[:min(len(entries), 64)]
+		est := max(comm.EntriesWireBytes(sample, w.codec)/len(sample), w.minWire)
+		step := (w.blockBytes - len(w.pending)) / est
 		if step < 1 {
 			step = 1
 		}
