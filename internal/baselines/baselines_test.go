@@ -1,9 +1,11 @@
 package baselines
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
@@ -171,6 +173,56 @@ func TestRadixImbalanceOnLowEntropyKeys(t *testing.T) {
 	}
 	if maxPart != rep.N {
 		t.Errorf("expected total imbalance (one bucket), max part = %d of %d", maxPart, rep.N)
+	}
+}
+
+// TestRadixSortHoldsEarlyScatter: a peer that already has the bucket
+// owners may scatter before the master's owners message reaches another
+// node. That node must hold the early size and data messages for phase 2
+// instead of failing on them (a failure there would leave every other node
+// blocked in Recv). The test plays the master and the peer itself, so the
+// early delivery is deterministic.
+func TestRadixSortHoldsEarlyScatter(t *testing.T) {
+	const p = 3
+	net := transport.NewChan[uint64](p, comm.U64Codec{})
+	defer net.Close()
+	master, peer := net.Endpoint(0), net.Endpoint(2)
+
+	// Buckets below 128 belong to node 1, the rest to node 2.
+	owners := make([]int64, 1<<radixBucketBits)
+	for b := range owners {
+		owners[b] = int64(1 + b/128)
+	}
+	send := func(ep transport.Endpoint[uint64], m comm.Message[uint64]) {
+		t.Helper()
+		if err := ep.Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(peer, comm.Message[uint64]{Kind: comm.KRangeMeta, Ints: []int64{0, 2, 0}})
+	send(peer, comm.Message[uint64]{Kind: comm.KData, Keys: []uint64{4, 2}})
+	send(master, comm.Message[uint64]{Kind: comm.KControl, Ints: owners})
+	send(master, comm.Message[uint64]{Kind: comm.KRangeMeta, Ints: []int64{0, 0, 0}})
+
+	type result struct {
+		keys []uint64
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		keys, err := radixNode(net.Endpoint(1), []uint64{5, 1<<63 | 7, 3}, p)
+		done <- result{keys, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("early phase-2 messages: %v", r.err)
+		}
+		if want := []uint64{2, 3, 4, 5}; !slices.Equal(r.keys, want) {
+			t.Fatalf("node 1 kept %v, want %v", r.keys, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("radixNode hung on early phase-2 messages")
 	}
 }
 

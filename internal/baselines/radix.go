@@ -51,6 +51,11 @@ func RadixSort(parts [][]uint64, transportKind string) ([][]uint64, *Report, err
 		go func(i int) {
 			defer wg.Done()
 			out[i], errs[i] = radixNode(net.Endpoint(i), parts[i], p)
+			if errs[i] != nil {
+				// Peers may be blocked in Recv on messages this node will
+				// never send: closing the network unblocks them.
+				net.Close()
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -78,7 +83,8 @@ func radixNode(ep transport.Endpoint[uint64], local []uint64, p int) ([]uint64, 
 	for _, k := range local {
 		hist[bucketOf(k)]++
 	}
-	var owners []int64 // owners[b] = processor owning bucket b
+	var owners []int64               // owners[b] = processor owning bucket b
+	var early []comm.Message[uint64] // phase-2 messages received before the owners
 	if id == 0 {
 		totals := make([]int64, buckets)
 		copy(totals, hist)
@@ -104,14 +110,23 @@ func radixNode(ep transport.Endpoint[uint64], local []uint64, p int) ([]uint64, 
 		if err := ep.Send(0, comm.Message[uint64]{Kind: comm.KRangeMeta, Ints: hist}); err != nil {
 			return nil, err
 		}
-		m, ok := ep.Recv()
-		if !ok {
-			return nil, fmt.Errorf("network closed awaiting bucket owners")
+		for owners == nil {
+			m, ok := ep.Recv()
+			if !ok {
+				return nil, fmt.Errorf("network closed awaiting bucket owners")
+			}
+			switch m.Kind {
+			case comm.KControl:
+				owners = m.Ints
+			case comm.KRangeMeta, comm.KData:
+				// A peer that already has the owners may start scattering
+				// before the master's message reaches this node: hold its
+				// phase-2 traffic for phase 2.
+				early = append(early, m)
+			default:
+				return nil, fmt.Errorf("expected bucket owners, got %v", m.Kind)
+			}
 		}
-		if m.Kind != comm.KControl {
-			return nil, fmt.Errorf("expected bucket owners, got %v", m.Kind)
-		}
-		owners = m.Ints
 	}
 
 	// Phase 2: scatter keys to bucket owners; send sizes first so each
@@ -143,9 +158,14 @@ func radixNode(ep transport.Endpoint[uint64], local []uint64, p int) ([]uint64, 
 	metaSeen := 0
 	received := 0
 	for metaSeen < p-1 || received < expect {
-		m, ok := ep.Recv()
-		if !ok {
-			return nil, fmt.Errorf("network closed during scatter")
+		var m comm.Message[uint64]
+		if len(early) > 0 {
+			m, early = early[0], early[1:]
+		} else {
+			var ok bool
+			if m, ok = ep.Recv(); !ok {
+				return nil, fmt.Errorf("network closed during scatter")
+			}
 		}
 		switch m.Kind {
 		case comm.KRangeMeta:

@@ -245,10 +245,11 @@ func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[
 	vc, isVar := kc.(VarCodec[K])
 	if !isVar && !withPay {
 		ks := kc.KeySize()
-		need := n * (ks + originBytes)
-		if len(b) < need {
-			return nil, b, fmt.Errorf("comm: short entry payload: have %d bytes, need %d", len(b), need)
+		if n < 0 || n > len(b)/(ks+originBytes) {
+			// Divided, not multiplied: an untrusted count must not wrap.
+			return nil, b, fmt.Errorf("comm: short entry payload: have %d bytes for %d %d-byte entries", len(b), n, ks+originBytes)
 		}
+		need := n * (ks + originBytes)
 		entries := pool.Get(n) // a nil pool falls back to plain allocation
 		off := 0
 		for i := 0; i < n; i++ {

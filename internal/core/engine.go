@@ -55,6 +55,9 @@ type node[K cmp.Ordered] struct {
 	// sorts (nil when Options.DisablePooling), so a pipelined SortMany
 	// run reuses buffers instead of reallocating per dataset.
 	entryPool *alloc.SlabPool[comm.Entry[K]]
+	// pairPool recycles the radix local sort's (key, index) pair and
+	// scratch slabs the same way (nil when Options.DisablePooling).
+	pairPool *alloc.SlabPool[keyIndex[K]]
 
 	mbMu      sync.Mutex
 	mbs       map[mbKey]*mailbox[comm.Message[K]]
@@ -115,6 +118,7 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 		}
 		if !opts.DisablePooling {
 			n.entryPool = &alloc.SlabPool[comm.Entry[K]]{}
+			n.pairPool = &alloc.SlabPool[keyIndex[K]]{}
 		}
 		n.dm = &datamgr.Manager{BufferBytes: opts.BufferBytes, Tracker: &n.tracker}
 		e.nodes[i] = n

@@ -204,7 +204,11 @@ func (c sortCmps[K]) sortEntries(entries, scratch []comm.Entry[K], workers int) 
 	}
 	norm := c.norm
 	key := func(e comm.Entry[K]) uint64 { return norm(e.Key) }
-	lsort.ParallelRadixSort(entries, scratch, key, c.normBits, c.entryLess, workers)
+	// The chunk merges compare norms only, as the radix passes order: a
+	// two-level less would merge chunks that are not sorted under it and
+	// lose the input order of equal keys.
+	normLess := func(a, b comm.Entry[K]) bool { return norm(a.Key) < norm(b.Key) }
+	lsort.ParallelRadixSort(entries, scratch, key, c.normBits, normLess, workers)
 	if c.fallback {
 		// Inexact norm: the radix passes ordered by norm only; finish
 		// the equal-norm runs under the real comparison.
@@ -472,62 +476,148 @@ func (s *sortRun[K]) removeSpillDir() {
 }
 
 // localSort is step 1: the parallel local sort. The comparison path is
-// the paper's chunked quicksort + balanced merge; the radix path (taken
-// when the key normalizes to uint64, see Options.LocalSort) replaces the
-// per-chunk quicksort with an LSD byte-radix sort over normalized keys.
-// Both paths draw the entry buffer and merge scratch from the node's
-// slab pool: scratch returns to the pool immediately, the entry buffer
-// once the whole sort joins (its subslices travel through the exchange).
-// On the exact-norm radix path a full-size scratch that would blow
-// Options.MemoryBudget is replaced by spillSort: budget-sized chunks
-// sort in memory, spill to block files, and stream-merge back — the
-// same bytes, a fraction of the temporary memory.
+// the paper's chunked quicksort + balanced merge over the entries, with
+// merge scratch drawn from the node's slab pool. The radix path (taken
+// when the key normalizes to uint64, see Options.LocalSort) sorts
+// (key, input index) pairs instead (sortPairs) and only then writes each
+// entry once, in sorted order: an LSD pass over a 16-byte uint64 pair
+// moves less than half the bytes of one over a 40-byte entry. Before the
+// sort an entry is fully determined by its key, input index, this node's
+// id and the input row's payload, and the radix sort is stable over pairs
+// built in input order, so the entries come out byte-identical to sorting
+// the entries themselves. The entry buffer returns to the pool once the
+// whole sort joins (its subslices travel through the exchange).
+// On the exact-norm radix path, entries that would blow
+// Options.MemoryBudget go through spillSort instead: budget-sized chunks
+// sort in memory, spill to block files, and stream-merge back — the same
+// bytes, a fraction of the temporary memory.
 func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	n := s.node
 	t0 := time.Now()
-	var entries []comm.Entry[K]
+	size := len(s.input)
 	if s.inputRec != nil {
-		entries = n.entryPool.Get(len(s.inputRec))
-		for i, r := range s.inputRec {
-			entries[i] = comm.Entry[K]{Key: r.Key, Payload: r.Payload, Proc: uint32(n.id), Index: uint32(i)}
-		}
-	} else {
-		entries = n.entryPool.Get(len(s.input))
-		for i, k := range s.input {
-			entries[i] = comm.Entry[K]{Key: k, Proc: uint32(n.id), Index: uint32(i)}
-		}
+		size = len(s.inputRec)
 	}
-	s.retire(entries)
 	eb := int64(entryBytes[K]())
-	s.report.ResidentBytes = int64(len(entries)) * eb
+	s.report.ResidentBytes = int64(size) * eb
 	s.report.LocalSortPath = s.cmps.path
-	if len(entries) > 1 {
-		workers := s.opts.WorkersPerProc
-		budget := s.opts.MemoryBudget
-		switch {
-		case budget > 0 && s.cmps.useRadix && !s.cmps.fallback &&
-			int64(len(entries))*eb > budget:
-			// A full scratch buffer alone would exceed the budget. Only
-			// the exact-norm radix path spills here: its chunk sorts and
-			// the streaming merge are both stable, so the chunked result
-			// is byte-identical to the one-pass sort at any chunk size.
-			// (Inexact norms and the comparison path keep their in-memory
-			// sort; the exchange stage still spills for them.)
-			if err := s.spillSort(entries); err != nil {
-				return nil, err
-			}
-		case s.cmps.useRadix || workers > 1:
-			scratch := n.entryPool.Get(len(entries))
-			n.tracker.Alloc(int64(len(scratch)) * eb)
-			s.cmps.sortEntries(entries, scratch, workers)
-			n.tracker.Free(int64(len(scratch)) * eb)
-			n.entryPool.Put(scratch)
-		default:
-			lsort.Quicksort(entries, s.cmps.entryLess)
+	workers := s.opts.WorkersPerProc
+	budget := s.opts.MemoryBudget
+	var entries []comm.Entry[K]
+	switch {
+	case size < 2:
+		entries = s.writeEntries(size, nil)
+	case budget > 0 && s.cmps.useRadix && !s.cmps.fallback &&
+		int64(size)*eb > budget:
+		// The entries alone exceed the budget. Only the exact-norm radix
+		// path spills here: its chunk sorts and the streaming merge are
+		// both stable, so the chunked result is byte-identical to the
+		// one-pass sort at any chunk size. (Inexact norms and the
+		// comparison path keep their in-memory sort; the exchange stage
+		// still spills for them.)
+		entries = s.writeEntries(size, nil)
+		if err := s.spillSort(entries); err != nil {
+			return nil, err
 		}
+	case s.cmps.useRadix:
+		entries = s.sortPairs(size, workers)
+	case workers > 1:
+		entries = s.writeEntries(size, nil)
+		scratch := n.entryPool.Get(len(entries))
+		n.tracker.Alloc(int64(len(scratch)) * eb)
+		s.cmps.sortEntries(entries, scratch, workers)
+		n.tracker.Free(int64(len(scratch)) * eb)
+		n.entryPool.Put(scratch)
+	default:
+		entries = s.writeEntries(size, nil)
+		lsort.Quicksort(entries, s.cmps.entryLess)
 	}
 	s.report.Steps[StepLocalSort] = time.Since(t0)
 	return entries, nil
+}
+
+// keyIndex is the radix local sort's working element: a key and its
+// row's index in this node's input, 16 B for 8-byte keys.
+type keyIndex[K cmp.Ordered] struct {
+	Key   K
+	Index uint32
+}
+
+// sortPairs radix-sorts this node's keys as (key, input index) pairs
+// under the resolved norm and returns the entries written in that order.
+// A most-significant-digit pass distributes the pairs straight from the
+// input into groups sharing their top varying byte
+// (lsort.RadixDistribute); each group then gets a stable LSD radix sort
+// against a scratch the size of the largest group, and inexact norms
+// finish their equal-norm runs under the two-level comparison. The pair
+// buffer and the scratch are temporary memory from the node's pair pool;
+// the entries are resident.
+func (s *sortRun[K]) sortPairs(size, workers int) []comm.Entry[K] {
+	n := s.node
+	norm, keyLess := s.cmps.norm, s.cmps.keyLess
+	key := func(p keyIndex[K]) uint64 { return norm(p.Key) }
+	at := func(i int) keyIndex[K] { return keyIndex[K]{Key: s.input[i], Index: uint32(i)} }
+	if s.inputRec != nil {
+		at = func(i int) keyIndex[K] { return keyIndex[K]{Key: s.inputRec[i].Key, Index: uint32(i)} }
+	}
+	pairs := n.pairPool.Get(size)
+	bounds := lsort.RadixDistribute(pairs, size, at, key)
+	largest := 0
+	for b := 0; b+1 < len(bounds); b++ {
+		largest = max(largest, bounds[b+1]-bounds[b])
+	}
+	scratch := n.pairPool.Get(largest)
+	pb := int64(unsafe.Sizeof(keyIndex[K]{}))
+	n.tracker.Alloc(int64(size+largest) * pb)
+
+	// As in sortEntries, the chunk merges compare norms only.
+	normLess := func(a, b keyIndex[K]) bool { return norm(a.Key) < norm(b.Key) }
+	for b := 0; b+1 < len(bounds); b++ {
+		if lo, hi := bounds[b], bounds[b+1]; hi-lo > 1 {
+			lsort.ParallelRadixSort(pairs[lo:hi], scratch, key, s.cmps.normBits, normLess, workers)
+		}
+	}
+	n.pairPool.Put(scratch)
+	n.tracker.Free(int64(largest) * pb)
+	if s.cmps.fallback {
+		// Inexact norm: the radix passes ordered by norm only; finish
+		// the equal-norm runs under the real comparison.
+		lsort.SortEqualNormRuns(pairs, key, func(a, b keyIndex[K]) bool { return keyLess(a.Key, b.Key) })
+	}
+
+	entries := s.writeEntries(size, pairs)
+	n.pairPool.Put(pairs)
+	n.tracker.Free(int64(size) * pb)
+	return entries
+}
+
+// writeEntries draws the node's entry buffer and writes one entry per
+// input row — key, provenance (this node, input index) and any record
+// payload — in the order of pairs, or in input order when pairs is nil.
+// Each 40-byte entry is written once, sequentially.
+func (s *sortRun[K]) writeEntries(size int, pairs []keyIndex[K]) []comm.Entry[K] {
+	id := uint32(s.node.id)
+	entries := s.node.entryPool.Get(size)
+	switch {
+	case pairs != nil && s.inputRec != nil:
+		for i, p := range pairs {
+			entries[i] = comm.Entry[K]{Key: p.Key, Payload: s.inputRec[p.Index].Payload, Proc: id, Index: p.Index}
+		}
+	case pairs != nil:
+		for i, p := range pairs {
+			entries[i] = comm.Entry[K]{Key: p.Key, Proc: id, Index: p.Index}
+		}
+	case s.inputRec != nil:
+		for i, r := range s.inputRec {
+			entries[i] = comm.Entry[K]{Key: r.Key, Payload: r.Payload, Proc: id, Index: uint32(i)}
+		}
+	default:
+		for i, k := range s.input {
+			entries[i] = comm.Entry[K]{Key: k, Proc: id, Index: uint32(i)}
+		}
+	}
+	s.retire(entries)
+	return entries
 }
 
 // spillSort sorts entries in place through the external sort: chunks

@@ -1,6 +1,9 @@
 package lsort
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // radixBits is the digit width of the LSD radix passes: one byte per
 // pass, 256 counting buckets.
@@ -134,6 +137,54 @@ func ParallelRadixSort[E any](s, scratch []E, key func(E) uint64, keyBits int, l
 	if len(out) > 0 && &out[0] != &s[0] {
 		copy(s, out)
 	}
+}
+
+// RadixDistribute is the most-significant-digit pass of a hybrid radix
+// sort. It writes the n elements at(0), ..., at(n-1) into dst (len >= n)
+// grouped by the highest byte on which their keys differ, in input order
+// within each group, and returns the group boundaries: group b is
+// dst[bounds[b]:bounds[b+1]], for the 256 byte values in ascending order.
+// Every key of a group agrees on that byte and on all bytes above it, so
+// sorting each group by key sorts dst, and a stable sort of each group
+// leaves equal keys in input order. Groups are small on spread keys (a
+// 256th of the data when the top byte is uniform), which keeps the
+// group sorts cache-resident and their scratch to the largest group. When
+// all keys are equal dst is already sorted and bounds is nil.
+//
+// at builds the elements on the fly, so the source never needs a buffer
+// of its own; it is called at most three times per element.
+func RadixDistribute[E any](dst []E, n int, at func(i int) E, key func(E) uint64) []int {
+	if n == 0 {
+		return nil
+	}
+	first := key(at(0))
+	var diff uint64
+	for i := 1; i < n; i++ {
+		diff |= key(at(i)) ^ first
+	}
+	if diff == 0 {
+		for i := 0; i < n; i++ {
+			dst[i] = at(i)
+		}
+		return nil
+	}
+	shift := uint(bits.Len64(diff)-1) / radixBits * radixBits
+	bounds := make([]int, 1<<radixBits+1)
+	for i := 0; i < n; i++ {
+		bounds[int(byte(key(at(i))>>shift))+1]++
+	}
+	for b := 1; b < len(bounds); b++ {
+		bounds[b] += bounds[b-1]
+	}
+	var next [1 << radixBits]int
+	copy(next[:], bounds)
+	for i := 0; i < n; i++ {
+		e := at(i)
+		b := byte(key(e) >> shift)
+		dst[next[b]] = e
+		next[b]++
+	}
+	return bounds
 }
 
 // chunkBounds returns workers+1 boundaries splitting n elements into

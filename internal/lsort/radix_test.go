@@ -110,6 +110,54 @@ func TestParallelRadixSortStable(t *testing.T) {
 	}
 }
 
+// TestRadixDistribute: the MSD pass followed by a stable radix sort of
+// each group must equal a stable sort of the input, on every kind — the
+// full-width case included, whose top byte reaches 0xff — and an
+// all-equal input must come back in input order with nil bounds.
+func TestRadixDistribute(t *testing.T) {
+	type rec struct {
+		key uint64
+		seq int
+	}
+	key := func(r rec) uint64 { return r.key }
+	for _, kind := range append([]dist.Kind{-1}, dist.AllKinds...) {
+		var keys []uint64
+		if kind < 0 {
+			keys = dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(5000)
+			for i := range keys {
+				keys[i] *= 0x9e3779b97f4a7c15 // spread over all 64 bits
+			}
+		} else {
+			keys = dist.Gen{Kind: kind, Seed: 5}.Keys(5000)
+		}
+		in := make([]rec, len(keys))
+		for i, k := range keys {
+			in[i] = rec{key: k, seq: i}
+		}
+		want := append([]rec(nil), in...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
+
+		got := make([]rec, len(in))
+		bounds := RadixDistribute(got, len(in), func(i int) rec { return in[i] }, key)
+		if kind == dist.Constant {
+			if bounds != nil {
+				t.Fatalf("constant input: bounds %v, want nil", bounds)
+			}
+		} else if len(bounds) != 257 || bounds[0] != 0 || bounds[256] != len(in) {
+			t.Fatalf("kind %v: bad bounds (len %d)", kind, len(bounds))
+		}
+		for b := 0; b+1 < len(bounds); b++ {
+			lo, hi := bounds[b], bounds[b+1]
+			RadixSort(got[lo:hi], make([]rec, hi-lo), key, 64)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("kind %v: mismatch at %d: %+v != %+v", kind, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestRadixSortKeyTypes runs the differential check over every codec key
 // type through its KeyNorm, including the float64 specials whose order
 // only the norm defines.

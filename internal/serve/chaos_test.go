@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/keyio"
 	"pgxsort/internal/transport"
@@ -132,6 +133,10 @@ func TestMidExchangeLinkLossDegradesToSingleNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test: real TCP mesh")
 	}
+	// Resident uploads are this test's precondition: under an env budget
+	// (the forced-spill lane) the body would spool and never reach the
+	// mesh exchange the proxy cuts.
+	t.Setenv(core.MemBudgetEnv, "")
 	const procs = 3
 	listen := reservePorts(t, procs)
 	// Nodes 1 and 2 reach node 0 through the killer proxy; node 0's own

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/keyio"
 	"pgxsort/internal/transport"
@@ -135,6 +136,10 @@ func TestSortJSONRoundTrip(t *testing.T) {
 }
 
 func TestRepeatedSortHitsCache(t *testing.T) {
+	// Resident uploads are this test's precondition: under an env budget
+	// (the forced-spill lane) the body would spool, and spooled jobs
+	// bypass the cache.
+	t.Setenv(core.MemBudgetEnv, "")
 	_, ts := testServer(t, Config{})
 	raw := keyio.EncodeUint64s(dist.Gen{Kind: dist.RightSkewed, Seed: 7}.Keys(5000))
 	resp1, body1 := postBinary(t, ts.URL+"/v1/sort?key_type=uint64", raw)

@@ -212,6 +212,10 @@ func TestSpoolDisconnectNoOrphans(t *testing.T) {
 // TestGovernorOversized413 rejects a resident job whose estimated
 // footprint could never fit the governor budget.
 func TestGovernorOversized413(t *testing.T) {
+	// Resident uploads are this test's precondition: under an env budget
+	// (the forced-spill lane) the body would spool, and spooled jobs are
+	// not refused by the resident footprint estimate.
+	t.Setenv(core.MemBudgetEnv, "")
 	_, ts := testServer(t, Config{
 		GovernorBudget: residentJobBytes(1000),
 		KeyTypes:       []dist.KeyType{dist.KeyUint64},
